@@ -80,11 +80,17 @@ void EmContext::CompileKeys() {
 }
 
 EmContext::EmContext(const Graph& g, const KeySet& keys,
-                     const EmOptions& opts)
+                     const EmOptions& opts, bool collect_relations,
+                     ContextPatchInfo* info)
     : g_(&g), keys_(&keys), opts_(opts) {
-  CompileKeys();
-  BuildCandidates();
-  BuildDependencyIndex(nullptr, nullptr);
+  Build(nullptr, {}, collect_relations, info);
+}
+
+EmContext::EmContext(const EmContext& prev,
+                     std::span<const NodeId> dirty_nodes,
+                     bool collect_relations, ContextPatchInfo* info)
+    : g_(prev.g_), keys_(prev.keys_), opts_(prev.opts_) {
+  Build(&prev, dirty_nodes, collect_relations, info);
 }
 
 EmContext::EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
@@ -273,155 +279,6 @@ bool EmContext::SigIndexStillValid(const SigIndex& prev_idx,
   return at == prev_idx.keys.size();
 }
 
-void EmContext::BuildCandidates() {
-  const Graph& g = *g_;
-  const int p = std::max(1, opts_.processors);
-
-  // Phase A: d-neighbors of every keyed entity, in parallel — the paper's
-  // DriverMR builds the Gd's "also in MapReduce" (§4.1). Stored in dense
-  // slots (one per keyed entity) so lookups are an array index and the
-  // element addresses candidates point at stay stable.
-  std::vector<std::pair<NodeId, int>> todo;  // (entity, radius d)
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    int d = radius_by_type_.at(type);
-    for (NodeId e : g.EntitiesOfType(type)) todo.emplace_back(e, d);
-  }
-  dneighbor_slot_.assign(g.NumNodes(), kNoSlot);
-  dneighbor_sets_.resize(todo.size());
-  ParallelFor(p, todo.size(), [&](size_t i) {
-    dneighbor_sets_[i] =
-        std::make_shared<const NodeSet>(DNeighbor(g, todo[i].first,
-                                                  todo[i].second));
-  });
-  for (size_t i = 0; i < todo.size(); ++i) {
-    neighbor_nodes_ += dneighbor_sets_[i]->size();
-    dneighbor_slot_[todo[i].first] = static_cast<uint32_t>(i);
-  }
-
-  // Phase B: enumerate L. With signature blocking, only same-type pairs
-  // sharing a required (predicate, value) signature are materialized —
-  // the O(n²)-pair wall of the naive enumeration never forms. Types whose
-  // keys pin nothing on x directly fall back to the full double loop.
-  struct RawPair {
-    NodeId e1, e2;
-    const std::vector<int>* keys;
-    bool recursive, value_based;
-  };
-  std::vector<RawPair> raw;
-  std::vector<std::pair<NodeId, NodeId>> block_scratch;
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    auto entities = g.EntitiesOfType(type);
-    bool recursive = false, value_based = false;
-    for (int ki : key_ids) {
-      if (compiled_[ki].key->recursive()) {
-        recursive = true;
-      } else {
-        value_based = true;
-      }
-    }
-    const size_t all_pairs = entities.size() * (entities.size() - 1) / 2;
-    std::shared_ptr<const SigIndex> idx;
-    if (opts_.use_blocking) {
-      idx = BuildSigIndex(key_ids, entities);
-      sig_index_[type] = idx;
-    }
-    if (idx != nullptr && idx->blockable) {
-      block_scratch.clear();
-      std::unordered_set<uint64_t> seen;
-      for (const SigPerKey& pk : idx->keys) {
-        for (const auto& [value, members] : *pk.buckets) {
-          // Buckets are ascending, so members[i] < members[j] for i < j.
-          for (size_t i = 0; i < members.size(); ++i) {
-            for (size_t j = i + 1; j < members.size(); ++j) {
-              if (seen.insert(PackPair(members[i], members[j])).second) {
-                block_scratch.emplace_back(members[i], members[j]);
-              }
-            }
-          }
-        }
-      }
-      candidates_blocked_ += all_pairs - block_scratch.size();
-      for (const auto& [a, b] : block_scratch) {
-        raw.push_back(RawPair{a, b, &key_ids, recursive, value_based});
-      }
-    } else {
-      for (size_t i = 0; i < entities.size(); ++i) {
-        for (size_t j = i + 1; j < entities.size(); ++j) {
-          raw.push_back(RawPair{entities[i], entities[j], &key_ids,
-                                recursive, value_based});
-        }
-      }
-    }
-  }
-  candidates_initial_ = raw.size();
-  // Deterministic order regardless of hash-map iteration.
-  std::sort(raw.begin(), raw.end(), [](const RawPair& a, const RawPair& b) {
-    return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
-  });
-
-  // Phase C: optional pairing filter + neighbor reduction, in parallel.
-  struct Reduction {
-    bool keep = true;
-    NodeSet r1, r2;
-  };
-  std::vector<Reduction> reductions(opts_.use_pairing ? raw.size() : 0);
-  if (opts_.use_pairing) {
-    // Sharded so each worker owns one PairingScratch: the pairing calls
-    // reuse domain/bitset/worklist buffers across the whole shard instead
-    // of reallocating per candidate pair.
-    std::vector<PairingScratch> scratches(p);
-    ParallelShards(p, raw.size(), [&](int shard, size_t begin, size_t end) {
-      PairingScratch& scratch = scratches[shard];
-      for (size_t i = begin; i < end; ++i) {
-        const RawPair& rp = raw[i];
-        const NodeSet& n1 = DNbr(rp.e1);
-        const NodeSet& n2 = DNbr(rp.e2);
-        Reduction& red = reductions[i];
-        red.keep = false;
-        for (int ki : *rp.keys) {
-          PairingResult pr =
-              ComputeMaxPairing(g, compiled_[ki].cp, rp.e1, rp.e2, n1, n2,
-                                /*collect_pairs=*/false, &scratch);
-          if (pr.paired) {
-            red.keep = true;  // §4.2: keep only pairable pairs (Prop. 9)
-            red.r1.UnionWith(pr.reduced1);
-            red.r2.UnionWith(pr.reduced2);
-          }
-        }
-      }
-    });
-  }
-
-  // Assembly (sequential). Pairs the pairing filter rejects just
-  // disappear from L — ghost tracking rediscovers the ones that matter
-  // from the d-neighbor overlaps.
-  candidates_.reserve(raw.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const RawPair& rp = raw[i];
-    Candidate c;
-    c.e1 = rp.e1;
-    c.e2 = rp.e2;
-    c.keys = rp.keys;
-    c.has_recursive_key = rp.recursive;
-    c.has_value_based_key = rp.value_based;
-    if (opts_.use_pairing) {
-      Reduction& red = reductions[i];
-      if (!red.keep) continue;
-      neighbor_nodes_reduced_ += red.r1.size() + red.r2.size();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r1)));
-      c.nbr1 = reduced_pool_.back().get();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r2)));
-      c.nbr2 = reduced_pool_.back().get();
-    } else {
-      c.nbr1 = &DNbr(rp.e1);
-      c.nbr2 = &DNbr(rp.e2);
-    }
-    candidates_.push_back(std::move(c));
-  }
-}
-
 void EmContext::BuildDependencyIndex(const EmContext* prev,
                                      const std::vector<int64_t>* reuse) {
   const Graph& g = *g_;
@@ -527,10 +384,9 @@ void EmContext::InvertDependencyIndex() {
             });
 }
 
-EmContext::EmContext(const EmContext& prev,
-                     std::span<const NodeId> dirty_nodes,
-                     ContextPatchInfo* info)
-    : g_(prev.g_), keys_(prev.keys_), opts_(prev.opts_) {
+void EmContext::Build(const EmContext* prev,
+                      std::span<const NodeId> dirty_nodes,
+                      bool collect_relations, ContextPatchInfo* info) {
   const Graph& g = *g_;
   // Spawning worker threads costs ~100µs each — real money against a
   // sub-millisecond patch. Parallel phases below fall back to inline
@@ -555,50 +411,62 @@ EmContext::EmContext(const EmContext& prev,
   // leaves both (dirty) endpoints in place, and any old ≤d path from an
   // entity to a dirty node has a surviving prefix that already reaches a
   // dirty node within d. One multi-source BFS from the dirty set to the
-  // maximum radius, instead of one BFS per entity.
-  int dmax = 0;
-  for (const auto& [type, r] : radius_by_type_) dmax = std::max(dmax, r);
-  constexpr uint8_t kUnreached = 0xFF;
-  std::vector<uint8_t> dist(g.NumNodes(), kUnreached);
-  std::vector<NodeId> frontier, next_frontier;
-  for (NodeId n : dirty_nodes) {
-    if (n < g.NumNodes() && dist[n] == kUnreached) {
-      dist[n] = 0;
-      frontier.push_back(n);
-    }
-  }
-  for (int depth = 1; depth <= dmax && !frontier.empty(); ++depth) {
-    next_frontier.clear();
-    for (NodeId n : frontier) {
-      auto visit = [&](NodeId m) {
-        if (dist[m] == kUnreached) {
-          dist[m] = static_cast<uint8_t>(depth);
-          next_frontier.push_back(m);
-        }
-      };
-      for (const Edge& e : g.Out(n)) visit(e.dst);
-      for (const Edge& e : g.In(n)) visit(e.dst);
-    }
-    frontier.swap(next_frontier);
-  }
-
-  std::vector<uint8_t> affected(g.NumNodes(), 0);
+  // maximum radius, instead of one BFS per entity. Without a previous
+  // context every keyed entity is affected and no BFS runs.
+  std::vector<uint8_t> affected(g.NumNodes(), prev == nullptr ? 1 : 0);
   std::vector<NodeId> affected_list;
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    int d = radius_by_type_.at(type);
-    for (NodeId e : g.EntitiesOfType(type)) {
-      if (dist[e] != kUnreached && dist[e] <= d) {
-        affected[e] = 1;
-        affected_list.push_back(e);
+  if (prev != nullptr) {
+    int dmax = 0;
+    for (const auto& [type, r] : radius_by_type_) dmax = std::max(dmax, r);
+    constexpr uint8_t kUnreached = 0xFF;
+    std::vector<uint8_t> dist(g.NumNodes(), kUnreached);
+    std::vector<NodeId> frontier, next_frontier;
+    for (NodeId n : dirty_nodes) {
+      if (n < g.NumNodes() && dist[n] == kUnreached) {
+        dist[n] = 0;
+        frontier.push_back(n);
       }
     }
+    for (int depth = 1; depth <= dmax && !frontier.empty(); ++depth) {
+      next_frontier.clear();
+      for (NodeId n : frontier) {
+        auto visit = [&](NodeId m) {
+          if (dist[m] == kUnreached) {
+            dist[m] = static_cast<uint8_t>(depth);
+            next_frontier.push_back(m);
+          }
+        };
+        for (const Edge& e : g.Out(n)) visit(e.dst);
+        for (const Edge& e : g.In(n)) visit(e.dst);
+      }
+      frontier.swap(next_frontier);
+    }
+    for (const auto& [type, key_ids] : keys_by_type_) {
+      int d = radius_by_type_.at(type);
+      for (NodeId e : g.EntitiesOfType(type)) {
+        if (dist[e] != kUnreached && dist[e] <= d) {
+          affected[e] = 1;
+          affected_list.push_back(e);
+        }
+      }
+    }
+    std::sort(affected_list.begin(), affected_list.end());
   }
-  std::sort(affected_list.begin(), affected_list.end());
   if (info != nullptr) info->affected_seconds = section.Seconds();
   section.Reset();
 
-  // Phase A': d-neighbor slots. Untouched keyed entities share the
-  // previous context's immutable sets; affected and new ones recompute.
+  // Phase A: d-neighbor slots, one per keyed entity (dense, so lookups
+  // are an array index and the addresses candidates point at stay
+  // stable). Untouched keyed entities share the previous context's
+  // immutable sets; affected and new ones recompute, in parallel — the
+  // paper's DriverMR builds the Gd's "also in MapReduce" (§4.1).
+  auto carried_slot = [&](NodeId e) -> uint32_t {
+    if (prev == nullptr || affected[e] != 0 ||
+        e >= prev->dneighbor_slot_.size()) {
+      return kNoSlot;
+    }
+    return prev->dneighbor_slot_[e];
+  };
   std::vector<std::pair<NodeId, int>> todo;  // (entity, radius) to redo
   std::vector<size_t> todo_slot;
   size_t slots = 0;
@@ -607,22 +475,19 @@ EmContext::EmContext(const EmContext& prev,
     int d = radius_by_type_.at(type);
     for (NodeId e : g.EntitiesOfType(type)) {
       dneighbor_slot_[e] = static_cast<uint32_t>(slots++);
-      if (affected[e] == 0 && e < prev.dneighbor_slot_.size() &&
-          prev.dneighbor_slot_[e] != kNoSlot) {
-        continue;  // shared below
-      }
+      if (carried_slot(e) != kNoSlot) continue;  // shared below
       todo.emplace_back(e, d);
       todo_slot.push_back(slots - 1);
     }
   }
   dneighbor_sets_.resize(slots);
   size_t shared_sets = 0;
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    for (NodeId e : g.EntitiesOfType(type)) {
-      if (affected[e] == 0 && e < prev.dneighbor_slot_.size() &&
-          prev.dneighbor_slot_[e] != kNoSlot) {
-        dneighbor_sets_[dneighbor_slot_[e]] =
-            prev.dneighbor_sets_[prev.dneighbor_slot_[e]];
+  if (prev != nullptr) {
+    for (const auto& [type, key_ids] : keys_by_type_) {
+      for (NodeId e : g.EntitiesOfType(type)) {
+        uint32_t from = carried_slot(e);
+        if (from == kNoSlot) continue;
+        dneighbor_sets_[dneighbor_slot_[e]] = prev->dneighbor_sets_[from];
         ++shared_sets;
       }
     }
@@ -636,26 +501,30 @@ EmContext::EmContext(const EmContext& prev,
   if (info != nullptr) info->dneighbor_seconds = section.Seconds();
   section.Reset();
 
-  // Phase B': enumerate L per type. Types with no affected entity carry
-  // their surviving candidates (and signature index) over verbatim.
-  // Affected types update their signature index in place — remove each
-  // affected entity's stale bucket memberships, re-sign it, re-insert —
-  // and enumerate only the pairs INVOLVING an affected entity; pairs of
-  // two untouched entities are carried from the previous L (their bucket
-  // memberships, pairing verdicts, and reduced sets cannot have changed).
-  // The previous source choice per key is pinned (any single source per
-  // key is an output-preserving filter), so a patched plan's L can differ
-  // from a from-scratch compile's L without changing chase(G, Σ).
+  // Phase B: enumerate L per type. With signature blocking, only
+  // same-type pairs sharing a required (predicate, value) signature are
+  // materialized — the O(n²)-pair wall of the naive enumeration never
+  // forms; types whose keys pin nothing on x fall back to the full
+  // double loop. Types with no affected entity carry their surviving
+  // candidates (and signature index) over verbatim. Affected types update
+  // their signature index in place — remove each affected entity's stale
+  // bucket memberships, re-sign it, re-insert — and enumerate only the
+  // pairs INVOLVING an affected entity; pairs of two untouched entities
+  // are carried from the previous L (their bucket memberships, pairing
+  // verdicts, and reduced sets cannot have changed). The previous source
+  // choice per key is pinned (any single source per key is an
+  // output-preserving filter), so a patched plan's L can differ from a
+  // from-scratch compile's L without changing chase(G, Σ).
   // Pair → previous-candidate lookup, needed only when a type's
   // signature structure changed (rare); built on first use so the common
   // patch path never pays the O(|L|) hashing.
   std::unordered_map<uint64_t, uint32_t> prev_by_pair;
   auto lookup_prev_pair = [&](NodeId a, NodeId b) -> int64_t {
-    if (prev_by_pair.empty() && !prev.candidates_.empty()) {
-      prev_by_pair.reserve(prev.candidates_.size() * 2);
-      for (uint32_t i = 0; i < prev.candidates_.size(); ++i) {
+    if (prev_by_pair.empty() && !prev->candidates_.empty()) {
+      prev_by_pair.reserve(prev->candidates_.size() * 2);
+      for (uint32_t i = 0; i < prev->candidates_.size(); ++i) {
         prev_by_pair.emplace(
-            PackPair(prev.candidates_[i].e1, prev.candidates_[i].e2), i);
+            PackPair(prev->candidates_[i].e1, prev->candidates_[i].e2), i);
       }
     }
     auto it = prev_by_pair.find(PackPair(a, b));
@@ -663,8 +532,10 @@ EmContext::EmContext(const EmContext& prev,
   };
   // Previous candidates grouped by type, for the carry-over passes.
   std::unordered_map<Symbol, std::vector<uint32_t>> prev_by_type;
-  for (uint32_t i = 0; i < prev.candidates_.size(); ++i) {
-    prev_by_type[g.entity_type(prev.candidates_[i].e1)].push_back(i);
+  if (prev != nullptr) {
+    for (uint32_t i = 0; i < prev->candidates_.size(); ++i) {
+      prev_by_type[g.entity_type(prev->candidates_[i].e1)].push_back(i);
+    }
   }
 
   struct RawPair {
@@ -693,24 +564,35 @@ EmContext::EmContext(const EmContext& prev,
     auto carry_clean_pairs = [&]() {
       if (prev_candidates_it == prev_by_type.end()) return;
       for (uint32_t i : prev_candidates_it->second) {
-        const Candidate& c = prev.candidates_[i];
+        const Candidate& c = prev->candidates_[i];
         if (affected[c.e1] != 0 || affected[c.e2] != 0) continue;
         raw.push_back(RawPair{c.e1, c.e2, &key_ids, recursive, value_based,
                               static_cast<int64_t>(i)});
       }
     };
-    if (affected_here.empty()) {
+    // Every pair involving an affected entity, once each and without
+    // hashing: a pair is taken from its smaller endpoint when both are
+    // affected, and from the affected one otherwise.
+    auto enumerate_all = [&]() {
+      for (NodeId a : affected_here) {
+        for (NodeId b : entities) {
+          if (b == a || (b < a && affected[b] != 0)) continue;
+          raw.push_back(RawPair{std::min(a, b), std::max(a, b), &key_ids,
+                                recursive, value_based, -1});
+        }
+      }
+    };
+    if (prev != nullptr && affected_here.empty()) {
       // Entirely clean type: carry candidates and share the signature
       // index untouched.
       carry_clean_pairs();
-      auto sig_it = prev.sig_index_.find(type);
-      if (sig_it != prev.sig_index_.end()) sig_index_[type] = sig_it->second;
+      auto sig_it = prev->sig_index_.find(type);
+      if (sig_it != prev->sig_index_.end()) sig_index_[type] = sig_it->second;
       continue;
     }
 
-    // The affected-pair enumeration for this type: fills `seen`/`raw`
-    // with every pair that involves an affected entity and passes the
-    // blocking filter (or every such pair, for unblockable types).
+    // Blocked pairs can sit in several buckets: `seen` keeps this type's
+    // emission to one per pair.
     seen.clear();
     auto emit = [&](NodeId a, NodeId b) {
       if (a > b) std::swap(a, b);
@@ -719,19 +601,17 @@ EmContext::EmContext(const EmContext& prev,
     };
 
     if (opts_.use_blocking) {
-      auto sig_it = prev.sig_index_.find(type);
-      std::shared_ptr<const SigIndex> prev_sig =
-          sig_it != prev.sig_index_.end() ? sig_it->second : nullptr;
+      std::shared_ptr<const SigIndex> prev_sig;
+      if (prev != nullptr) {
+        auto sig_it = prev->sig_index_.find(type);
+        if (sig_it != prev->sig_index_.end()) prev_sig = sig_it->second;
+      }
       if (prev_sig != nullptr && SigIndexStillValid(*prev_sig, key_ids)) {
         if (!prev_sig->blockable) {
           // Still unblockable: full enumeration of affected × all.
           sig_index_[type] = prev_sig;
           carry_clean_pairs();
-          for (NodeId a : affected_here) {
-            for (NodeId b : entities) {
-              if (b != a) emit(a, b);
-            }
-          }
+          enumerate_all();
           continue;
         }
         // Re-sign exactly the affected entities against the pinned
@@ -810,15 +690,18 @@ EmContext::EmContext(const EmContext& prev,
         carry_clean_pairs();
         continue;
       }
-      // The delta changed the signature structure itself (a constant or
-      // predicate newly resolves): rebuild the type's index from scratch
-      // and re-enumerate it fully, still reusing the pairing verdicts of
-      // clean pairs that survived in the previous L.
+      // No usable previous index (a from-scratch build, or the delta
+      // changed the signature structure itself — a constant or predicate
+      // newly resolves): build the type's index and enumerate it fully,
+      // still reusing the pairing verdicts of clean pairs that survived
+      // in the previous L.
       auto idx = BuildSigIndex(key_ids, entities);
       sig_index_[type] = idx;
       if (idx->blockable) {
+        const size_t before = raw.size();
         for (const SigPerKey& pk : idx->keys) {
           for (const auto& [value, members] : *pk.buckets) {
+            // Buckets are ascending, so members[i] < members[j], i < j.
             for (size_t i = 0; i < members.size(); ++i) {
               for (size_t j = i + 1; j < members.size(); ++j) {
                 NodeId a = members[i], b = members[j];
@@ -837,23 +720,22 @@ EmContext::EmContext(const EmContext& prev,
             }
           }
         }
+        const size_t all_pairs = entities.size() * (entities.size() - 1) / 2;
+        candidates_blocked_ += all_pairs - (raw.size() - before);
         continue;
       }
       // Newly unblockable: fall through to full enumeration.
     }
-    // No blocking (or newly unblockable): affected × all pairs are
-    // dirty, clean × clean pairs carry over from the previous L. (With
-    // pairing but no blocking, a clean pair the pairing filter dropped
-    // before is re-checked only if it involves an affected entity — clean
-    // dropped pairs stay dropped because nothing in their balls moved.)
+    // No blocking (or unblockable): affected × all pairs are dirty,
+    // clean × clean pairs carry over from the previous L. (With pairing
+    // but no blocking, a clean pair the pairing filter dropped before is
+    // re-checked only if it involves an affected entity — clean dropped
+    // pairs stay dropped because nothing in their balls moved.)
     carry_clean_pairs();
-    for (NodeId a : affected_here) {
-      for (NodeId b : entities) {
-        if (b != a) emit(a, b);
-      }
-    }
+    enumerate_all();
   }
   candidates_initial_ = raw.size();
+  // Deterministic order regardless of hash-map iteration.
   std::sort(raw.begin(), raw.end(), [](const RawPair& a, const RawPair& b) {
     return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
   });
@@ -861,15 +743,23 @@ EmContext::EmContext(const EmContext& prev,
   if (info != nullptr) info->enumerate_seconds = section.Seconds();
   section.Reset();
 
-  // Phase C': pairing fixpoint only for the dirty pairs.
+  // Phase C: the pairing fixpoint (Prop. 9), once per (dirty pair, key).
+  // It filters L and shrinks the d-neighbors (§4.2, use_pairing), and
+  // its relation, unioned over the keys, is the candidate's share of the
+  // product graph's node set (§5.1, collect_relations).
   struct Reduction {
     bool keep = true;
     NodeSet r1, r2;
+    PairRelation relation;
   };
-  std::vector<Reduction> reductions(opts_.use_pairing ? raw.size() : 0);
-  if (opts_.use_pairing) {
+  const bool pairing = opts_.use_pairing || collect_relations;
+  std::vector<Reduction> reductions(pairing ? raw.size() : 0);
+  if (pairing) {
     size_t dirty_pairs = 0;
     for (const RawPair& rp : raw) dirty_pairs += rp.reuse < 0 ? 1 : 0;
+    // Sharded so each worker owns one PairingScratch: the pairing calls
+    // reuse domain/bitset/worklist buffers across the whole shard instead
+    // of reallocating per candidate pair.
     const int pc = workers(dirty_pairs);
     std::vector<PairingScratch> scratches(pc);
     ParallelShards(pc, raw.size(), [&](int shard, size_t begin, size_t end) {
@@ -884,13 +774,23 @@ EmContext::EmContext(const EmContext& prev,
         for (int ki : *rp.keys) {
           PairingResult pr =
               ComputeMaxPairing(g, compiled_[ki].cp, rp.e1, rp.e2, n1, n2,
-                                /*collect_pairs=*/false, &scratch);
-          if (pr.paired) {
-            red.keep = true;
+                                collect_relations, &scratch);
+          if (!pr.paired) continue;
+          red.keep = true;  // §4.2: keep only pairable pairs (Prop. 9)
+          if (opts_.use_pairing) {
             red.r1.UnionWith(pr.reduced1);
             red.r2.UnionWith(pr.reduced2);
           }
+          if (collect_relations) {
+            red.relation.insert(red.relation.end(), pr.pairs.begin(),
+                                pr.pairs.end());
+            red.relation.push_back(PackPair(rp.e1, rp.e2));
+          }
         }
+        std::sort(red.relation.begin(), red.relation.end());
+        red.relation.erase(
+            std::unique(red.relation.begin(), red.relation.end()),
+            red.relation.end());
       }
     });
   }
@@ -899,11 +799,13 @@ EmContext::EmContext(const EmContext& prev,
   section.Reset();
 
   // Assembly: reused pairs share the previous reduced sets; dirty pairs
-  // get fresh ones. Candidates stay sorted by (e1, e2) as in a full
-  // compile.
+  // get fresh ones. Pairs the pairing filter rejects just disappear from
+  // L — ghost tracking rediscovers the ones that matter from the
+  // d-neighbor overlaps. Candidates stay sorted by (e1, e2).
   candidates_.reserve(raw.size());
   std::vector<uint32_t> dirty_candidates;
   std::vector<int64_t> candidate_reuse;
+  std::vector<std::shared_ptr<const PairRelation>> relations;
   candidate_reuse.reserve(raw.size());
   size_t reused = 0;
   for (size_t i = 0; i < raw.size(); ++i) {
@@ -917,10 +819,9 @@ EmContext::EmContext(const EmContext& prev,
     if (rp.reuse >= 0) {
       ++reused;
       if (opts_.use_pairing) {
-        // reduced_pool_[2i] / [2i+1] are candidate i's sides, in both
-        // the full and the patched build.
-        const auto& r1 = prev.reduced_pool_[2 * rp.reuse];
-        const auto& r2 = prev.reduced_pool_[2 * rp.reuse + 1];
+        // reduced_pool_[2i] / [2i+1] are candidate i's sides.
+        const auto& r1 = prev->reduced_pool_[2 * rp.reuse];
+        const auto& r2 = prev->reduced_pool_[2 * rp.reuse + 1];
         neighbor_nodes_reduced_ += r1->size() + r2->size();
         reduced_pool_.push_back(r1);
         c.nbr1 = r1.get();
@@ -931,6 +832,7 @@ EmContext::EmContext(const EmContext& prev,
         c.nbr2 = &DNbr(rp.e2);
       }
       candidate_reuse.push_back(rp.reuse);
+      if (collect_relations) relations.push_back(nullptr);
       candidates_.push_back(std::move(c));
       continue;
     }
@@ -948,6 +850,10 @@ EmContext::EmContext(const EmContext& prev,
       c.nbr1 = &DNbr(rp.e1);
       c.nbr2 = &DNbr(rp.e2);
     }
+    if (collect_relations) {
+      relations.push_back(std::make_shared<const PairRelation>(
+          std::move(reductions[i].relation)));
+    }
     dirty_candidates.push_back(static_cast<uint32_t>(candidates_.size()));
     candidate_reuse.push_back(-1);
     candidates_.push_back(std::move(c));
@@ -956,7 +862,7 @@ EmContext::EmContext(const EmContext& prev,
   // The dependency index and ghosts are candidate-index-relative; rebuild
   // them over the new L, copying the neighbor-ball scans of every
   // carried-over candidate.
-  BuildDependencyIndex(&prev, &candidate_reuse);
+  BuildDependencyIndex(prev, &candidate_reuse);
   if (info != nullptr) info->depindex_seconds = section.Seconds();
 
   if (info != nullptr) {
@@ -965,6 +871,7 @@ EmContext::EmContext(const EmContext& prev,
     info->dneighbors_reused = shared_sets;
     info->candidates_reused = reused;
     info->candidate_reuse = std::move(candidate_reuse);
+    info->candidate_relations = std::move(relations);
   }
 }
 

@@ -488,12 +488,20 @@ struct CompiledKey {
   std::vector<TourStep> tour;
 };
 
-/// Outputs of the incremental patch constructor (see below): which part
+/// A candidate's pairing relation, unioned over its keys: every pair of
+/// the maximum pairing relation packed as PackPair, sorted, deduplicated,
+/// and including the candidate pair itself whenever some key pairs it
+/// (so "empty" means "unpairable by every key").
+using PairRelation = std::vector<uint64_t>;
+
+/// Outputs of the plan build (see the EmContext constructors): which part
 /// of the compiled state had to be redone, and which candidates a seeded
-/// re-run must re-check.
+/// re-run must re-check. A from-scratch build is the patch build against
+/// no previous context: nothing is reused and every candidate is dirty.
 struct ContextPatchInfo {
   /// Keyed entities whose d-ball intersects a dirty node (sorted): their
-  /// signatures, d-neighbors, and pairing domains were recompiled.
+  /// signatures, d-neighbors, and pairing domains were recompiled. Left
+  /// empty by a from-scratch build, where every keyed entity is affected.
   std::vector<NodeId> affected_entities;
   /// Indices into candidates() whose isomorphism-check outcome may have
   /// changed: at least one affected endpoint, or newly enumerated. A
@@ -507,6 +515,11 @@ struct ContextPatchInfo {
   /// carried over from, or -1 when recompiled. PatchProductGraph replays
   /// the cached pairing relations of the carried candidates.
   std::vector<int64_t> candidate_reuse;
+  /// Per new-candidate index, when the build collected relations (plans
+  /// with a product graph): the pairing relation of each recompiled
+  /// candidate, null for carried ones. PatchProductGraph consumes these,
+  /// so the pairing fixpoint runs once per (candidate, key).
+  std::vector<std::shared_ptr<const PairRelation>> candidate_relations;
   /// Where the patch time went (seconds; bench_incremental reports them).
   double keys_seconds = 0;
   double affected_seconds = 0;
@@ -522,8 +535,15 @@ struct ContextPatchInfo {
 /// pairing-reduced), d-neighbors, and the entity-dependency index of §4.2.
 class EmContext {
  public:
-  /// Builds the context. `g` must be finalized.
-  EmContext(const Graph& g, const KeySet& keys, const EmOptions& opts);
+  /// Builds the context from scratch. `g` must be finalized. This is the
+  /// patch build below run against no previous context: every keyed
+  /// entity counts as affected, nothing is carried over, and no
+  /// affected-region BFS runs. With `collect_relations`, the one pairing
+  /// pass also hands every candidate's pairing relation to `info` for
+  /// the product-graph builder (PatchProductGraph); `info` then must be
+  /// non-null.
+  EmContext(const Graph& g, const KeySet& keys, const EmOptions& opts,
+            bool collect_relations = false, ContextPatchInfo* info = nullptr);
 
   /// Incremental rebuild: compiles the same key set against `prev`'s
   /// graph AFTER a delta was applied to it (Graph::Apply), recompiling
@@ -535,12 +555,15 @@ class EmContext {
   /// are rebuilt (they are candidate-index-relative and cheap at |L|
   /// scale). `prev` must outlive nothing — the new context is
   /// self-contained apart from the shared immutable NodeSet payloads.
+  /// `collect_relations` / `info` as above; only recompiled candidates
+  /// get a relation.
   ///
-  /// The enumeration counters (candidates_initial/blocked) cover only the
-  /// re-enumerated types; reused types carry their surviving candidates
+  /// candidates_initial counts the whole new L; candidates_blocked counts
+  /// only the types whose signature index was rebuilt (every type in a
+  /// from-scratch build) — reused types carry their surviving candidates
   /// without re-counting the blocked pairs.
   EmContext(const EmContext& prev, std::span<const NodeId> dirty_nodes,
-            ContextPatchInfo* info);
+            bool collect_relations, ContextPatchInfo* info);
 
   const Graph& graph() const { return *g_; }
   const EmOptions& options() const { return opts_; }
@@ -731,7 +754,10 @@ class EmContext {
     std::vector<SigPerKey> keys;
   };
 
-  void BuildCandidates();
+  /// The one build path behind both public constructors. `prev` ==
+  /// nullptr is the from-scratch build (see the constructors).
+  void Build(const EmContext* prev, std::span<const NodeId> dirty_nodes,
+             bool collect_relations, ContextPatchInfo* info);
 
   /// Builds the §4.2 dependency index (dependents_/ghosts_) from the
   /// per-candidate depended-on pair scans. When patching, candidates
@@ -765,7 +791,8 @@ class EmContext {
   bool SigIndexStillValid(const SigIndex& prev_idx,
                           const std::vector<int>& key_ids) const;
 
-  /// Compiles the key set against *g_ (shared by both constructors).
+  /// Compiles the key set against *g_ (Build and the deserialization
+  /// shell).
   void CompileKeys();
 
   /// The cached d-neighbor of keyed entity `e` (must exist).

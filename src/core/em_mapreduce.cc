@@ -17,23 +17,6 @@ constexpr uint8_t kTcIdentified = 2;  // became Same transitively
 
 }  // namespace
 
-MatchResult RunEmMapReduce(const Graph& g, const KeySet& keys,
-                           const EmOptions& options) {
-  Timer prep;
-  EmContext ctx(g, keys, options);
-  MatchResult result = RunEmMapReduce(ctx);
-  result.stats.prep_seconds = prep.Seconds() - result.stats.run_seconds;
-  return result;
-}
-
-MatchResult RunEmMapReduce(const EmContext& ctx) {
-  auto r = RunEmMapReduce(ctx, ctx.options(), nullptr);
-  // Without a sink there is no cancellation source; only a time budget
-  // (EmOptions::time_budget_seconds) can fail the run, and it surfaces
-  // here as an empty result — budgeted callers use the StatusOr overload.
-  return r.ok() ? *std::move(r) : MatchResult{};
-}
-
 StatusOr<MatchResult> RunEmMapReduce(const EmContext& ctx,
                                      const EmOptions& opts, MatchSink* sink,
                                      const RematchSeed* seed) {

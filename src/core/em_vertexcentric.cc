@@ -266,24 +266,6 @@ struct VcRun {
 
 }  // namespace
 
-MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
-                               const EmOptions& options) {
-  Timer prep;
-  EmContext ctx(g, keys, options);
-  MatchResult result = RunEmVertexCentric(ctx);
-  result.stats.prep_seconds = prep.Seconds() - result.stats.run_seconds;
-  return result;
-}
-
-MatchResult RunEmVertexCentric(const EmContext& ctx) {
-  ProductGraph pg = BuildProductGraph(ctx);
-  auto r = RunEmVertexCentric(ctx, pg, ctx.options(), nullptr);
-  // Without a sink there is no cancellation source; only a time budget
-  // (EmOptions::time_budget_seconds) can fail the run, and it surfaces
-  // here as an empty result — budgeted callers use the StatusOr overload.
-  return r.ok() ? *std::move(r) : MatchResult{};
-}
-
 StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,
                                          const ProductGraph& pg,
                                          const EmOptions& opts,

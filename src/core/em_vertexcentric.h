@@ -30,16 +30,11 @@ namespace gkeys {
 /// Transitive closure: subsumed by the concurrent union-find (see
 /// DESIGN.md); a quiescence sweep re-seeds dependents of pairs that became
 /// equal purely transitively, guaranteeing the chase fixpoint.
-MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
-                               const EmOptions& options);
-
-/// Same, with a pre-built context (benchmarks separate preprocessing).
-MatchResult RunEmVertexCentric(const EmContext& ctx);
-
-/// Plan-layer entry point: executes EMVC over a pre-built context and
-/// product-graph skeleton with caller-supplied run-time options (bounded
-/// messages, prioritization, processors — independent of how the context
-/// was compiled). When `sink` is non-null, confirmed pairs and per-round
+///
+/// Plan-layer entry point (Matcher::Run): executes EMVC over a pre-built
+/// context and product-graph skeleton with caller-supplied run-time
+/// options (bounded messages, prioritization, processors — independent of
+/// how the context was compiled). When `sink` is non-null, confirmed pairs and per-round
 /// progress are streamed and cancellation is honored between engine runs
 /// (StatusCode::kCancelled).
 /// With a `seed` (Matcher::Rematch), Eq starts from the previous

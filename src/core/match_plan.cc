@@ -37,11 +37,18 @@ StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
   eopts.processors = opts.processors;
   eopts.use_pairing = opts.use_pairing;
   eopts.use_blocking = opts.use_blocking;
+  // Compile is Patch from the empty plan: the context build treats every
+  // keyed entity as affected, and Gp is the patch of an empty Gp.
   // Not make_shared: Rep is private and friendship does not reach into
   // the standard library's allocation helpers.
-  std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(g, keys, opts, eopts));
+  ContextPatchInfo info;
+  std::shared_ptr<MatchPlan::Rep> rep(
+      new MatchPlan::Rep(g, keys, opts, eopts, &info));
   if (opts.build_product_graph) {
-    rep->pg.emplace(BuildProductGraph(rep->ctx));
+    rep->pg.emplace(PatchProductGraph(ProductGraph{}, rep->ctx,
+                                      info.candidate_reuse,
+                                      std::move(info.candidate_relations),
+                                      {}));
   }
   rep->compile_seconds = timer.Seconds();
   return MatchPlan(std::move(rep));
@@ -73,14 +80,15 @@ StatusOr<MatchPlan> MatchPlan::Patch(const GraphDelta& delta) const {
       rep_->ctx, *rep_->keys, rep_->options, dirty, &info));
   if (rep_->options.build_product_graph) {
     // Gp is patched at |L| scale: carried-over candidates replay their
-    // cached pairing relations; only dirty ones re-run the fixpoint.
+    // cached pairing relations; dirty ones bring the relations the
+    // context build's one pairing pass collected. Every plan built with
+    // the option has a Gp (Compile builds one; DecodePlan rejects a
+    // snapshot without one as corrupt).
     Timer pg_timer;
-    if (rep_->pg.has_value()) {
-      rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx,
-                                        info.candidate_reuse, dirty));
-    } else {
-      rep->pg.emplace(BuildProductGraph(rep->ctx));
-    }
+    rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx,
+                                      info.candidate_reuse,
+                                      std::move(info.candidate_relations),
+                                      dirty));
     info.product_graph_seconds = pg_timer.Seconds();
   }
   rep->patched = true;

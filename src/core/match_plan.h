@@ -203,14 +203,19 @@ class MatchPlan {
   friend class storage::PlanCodec;
 
   struct Rep {
+    // Compile: the patch build against no previous context.
     Rep(const Graph& g, const KeySet& k, const PlanOptions& popts,
-        const EmOptions& eopts)
-        : keys(&k), options(popts), ctx(g, k, eopts) {}
+        const EmOptions& eopts, ContextPatchInfo* info)
+        : keys(&k),
+          options(popts),
+          ctx(g, k, eopts, popts.build_product_graph, info) {}
 
     // Patch: incremental rebuild sharing untouched state with `prev`.
     Rep(const EmContext& prev, const KeySet& k, const PlanOptions& popts,
         std::span<const NodeId> dirty_nodes, ContextPatchInfo* info)
-        : keys(&k), options(popts), ctx(prev, dirty_nodes, info) {}
+        : keys(&k),
+          options(popts),
+          ctx(prev, dirty_nodes, popts.build_product_graph, info) {}
 
     // Deserialization shell (storage::PlanCodec): the context binds
     // graph/keys and compiles the keys; the codec restores the rest.

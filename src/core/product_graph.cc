@@ -37,115 +37,22 @@ size_t ProductGraph::MemoryBytes() const {
     if (pairs != nullptr) bytes += pairs->capacity() * sizeof(uint64_t);
   }
   bytes += candidate_pairs_.capacity() *
-               sizeof(std::shared_ptr<const Relation>) +
+               sizeof(std::shared_ptr<const PairRelation>) +
            node_refs_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 
-namespace {
-
-/// The pairing relation of candidate `c`, unioned over its keys, as
-/// packed deduplicated pairs. Includes (e1, e2) itself whenever some key
-/// pairs (the relation always contains the candidate pair then), so
-/// "empty" doubles as "unpairable by every key".
-std::vector<uint64_t> CollectCandidatePairs(const EmContext& ctx,
-                                            const Candidate& c,
-                                            PairingScratch* scratch) {
-  std::vector<uint64_t> pairs;
-  for (int ki : *c.keys) {
-    PairingResult pr =
-        ComputeMaxPairing(ctx.graph(), ctx.compiled_keys()[ki].cp, c.e1,
-                          c.e2, *c.nbr1, *c.nbr2, /*collect_pairs=*/true,
-                          scratch);
-    if (!pr.paired) continue;
-    pairs.insert(pairs.end(), pr.pairs.begin(), pr.pairs.end());
-    pairs.push_back(PackPair(c.e1, c.e2));
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  return pairs;
-}
-
-}  // namespace
-
-void ProductGraph::AddNodeRef(ProductGraph& pg, uint64_t packed) {
-  auto [it, inserted] =
-      pg.index_.emplace(packed, static_cast<uint32_t>(pg.nodes_.size()));
-  if (inserted) {
-    pg.nodes_.emplace_back(static_cast<NodeId>(packed >> 32),
-                           static_cast<NodeId>(packed & 0xffffffffu));
-    pg.node_refs_.push_back(0);
-  }
-  ++pg.node_refs_[it->second];
-}
-
-void ProductGraph::ResolveCandidateNodes(const EmContext& ctx,
-                                         ProductGraph& pg) {
-  pg.candidate_nodes_.assign(ctx.candidates().size(), kNoPNode);
-  for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
-    const Candidate& c = ctx.candidates()[i];
-    if (!pg.candidate_pairs_[i]->empty()) {
-      pg.candidate_nodes_[i] = pg.Find(c.e1, c.e2);
-    }
-  }
-}
-
-void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg) {
-  const Graph& g = ctx.graph();
-  ResolveCandidateNodes(ctx, pg);
-
-  // Ep: ((s1, s2), p, (o1, o2)) iff (s1, p, o1) ∈ G and (s2, p, o2) ∈ G.
-  pg.out_.assign(pg.nodes_.size(), {});
-  pg.in_.assign(pg.nodes_.size(), {});
-  pg.out_count_.assign(pg.nodes_.size(), {});
-  pg.in_count_.assign(pg.nodes_.size(), {});
-  for (uint32_t v = 0; v < pg.nodes_.size(); ++v) {
-    auto [a, b] = pg.nodes_[v];
-    if (!g.IsEntity(a) || !g.IsEntity(b)) continue;
-    for (const Edge& ea : g.Out(a)) {
-      for (const Edge& eb : g.Out(b)) {
-        if (ea.pred != eb.pred) continue;
-        uint32_t dst = pg.Find(ea.dst, eb.dst);
-        if (dst == kNoPNode) continue;
-        pg.out_[v].push_back(ProductGraph::PEdge{ea.pred, dst});
-        pg.in_[dst].push_back(ProductGraph::PEdge{ea.pred, v});
-        ++pg.out_count_[v][ea.pred];
-        ++pg.in_count_[dst][ea.pred];
-        ++pg.num_edges_;
-      }
-    }
-  }
-}
-
-ProductGraph BuildProductGraph(const EmContext& ctx) {
-  ProductGraph pg;
-  // Vp: every pair surviving in the maximum pairing relation of some key
-  // at some candidate (paper §5.1). One scratch serves the whole build.
-  // The per-candidate relations are kept (candidate_pairs_, shared) and
-  // each node's supporting-relation count (node_refs_) so a later
-  // MatchPlan::Patch replays clean candidates and retires dirty ones
-  // instead of rediscovering Vp.
-  PairingScratch scratch;
-  pg.candidate_pairs_.resize(ctx.candidates().size());
-  for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
-    auto rel = std::make_shared<ProductGraph::Relation>(
-        CollectCandidatePairs(ctx, ctx.candidates()[i], &scratch));
-    for (uint64_t p : *rel) ProductGraph::AddNodeRef(pg, p);
-    pg.candidate_pairs_[i] = std::move(rel);
-  }
-  ProductGraph::Finish(ctx, pg);
-  return pg;
-}
-
-ProductGraph PatchProductGraph(const ProductGraph& prev,
-                               const EmContext& ctx,
-                               const std::vector<int64_t>& candidate_reuse,
-                               std::span<const NodeId> graph_dirty) {
+ProductGraph PatchProductGraph(
+    const ProductGraph& prev, const EmContext& ctx,
+    const std::vector<int64_t>& candidate_reuse,
+    std::vector<std::shared_ptr<const PairRelation>> relations,
+    std::span<const NodeId> graph_dirty) {
   const Graph& g = ctx.graph();
   ProductGraph pg;
-  // Node phase: start from the previous node set and retire the
-  // contributions of candidates that are gone or re-paired; only dirty
-  // candidates run the pairing fixpoint again. Carried-over candidates
+  // Node phase (Vp: every pair in the maximum pairing relation of some
+  // key at some candidate, paper §5.1): start from the previous node set
+  // and retire the contributions of candidates that are gone or
+  // re-paired, then intern the fresh relations. Carried-over candidates
   // re-share their relations (reference counts inherited unchanged).
   pg.nodes_ = prev.nodes_;
   pg.index_ = prev.index_;
@@ -155,13 +62,12 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
   for (int64_t from : candidate_reuse) {
     if (from >= 0) carried[from] = 1;
   }
-  auto retire = [&pg](const ProductGraph::Relation& rel) {
-    for (uint64_t p : rel) --pg.node_refs_[pg.index_.at(p)];
-  };
   for (uint32_t i = 0; i < prev.candidate_pairs_.size(); ++i) {
-    if (!carried[i]) retire(*prev.candidate_pairs_[i]);
+    if (carried[i]) continue;
+    for (uint64_t p : *prev.candidate_pairs_[i]) {
+      --pg.node_refs_[pg.index_.at(p)];
+    }
   }
-  PairingScratch scratch;
   pg.candidate_pairs_.resize(ctx.candidates().size());
   for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
     int64_t from = i < candidate_reuse.size() ? candidate_reuse[i] : -1;
@@ -169,10 +75,17 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
       pg.candidate_pairs_[i] = prev.candidate_pairs_[from];
       continue;
     }
-    auto rel = std::make_shared<ProductGraph::Relation>(
-        CollectCandidatePairs(ctx, ctx.candidates()[i], &scratch));
-    for (uint64_t p : *rel) ProductGraph::AddNodeRef(pg, p);
-    pg.candidate_pairs_[i] = std::move(rel);
+    for (uint64_t p : *relations[i]) {
+      auto [it, inserted] =
+          pg.index_.emplace(p, static_cast<uint32_t>(pg.nodes_.size()));
+      if (inserted) {
+        pg.nodes_.emplace_back(static_cast<NodeId>(p >> 32),
+                               static_cast<NodeId>(p & 0xffffffffu));
+        pg.node_refs_.push_back(0);
+      }
+      ++pg.node_refs_[it->second];
+    }
+    pg.candidate_pairs_[i] = std::move(relations[i]);
   }
   // Compact away nodes no relation supports anymore (removals and
   // re-paired candidates shrink Vp), keeping the prev-id → new-id map
@@ -224,12 +137,14 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
   for (uint32_t v = 0; v < prev_count; ++v) {
     if (prev_to_new[v] != kNoPNode) prev_of[prev_to_new[v]] = v;
   }
+  // Brand-new nodes, collected only when clean sources can exist (a
+  // from-scratch build recomputes every node).
   std::vector<uint32_t> fresh_nodes;
   for (uint32_t v = 0; v < num_nodes; ++v) {
     auto [a, b] = pg.nodes_[v];
     if (prev_of[v] == kNoPNode) {
       recompute[v] = 1;
-      fresh_nodes.push_back(v);
+      if (prev_count > 0) fresh_nodes.push_back(v);
     } else if (endpoint_dirty[a] != 0 || endpoint_dirty[b] != 0) {
       recompute[v] = 1;
     }
@@ -279,7 +194,14 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
       ++pg.num_edges_;
     }
   }
-  ProductGraph::ResolveCandidateNodes(ctx, pg);
+  // A nonempty relation always contains the candidate pair itself.
+  pg.candidate_nodes_.assign(ctx.candidates().size(), kNoPNode);
+  for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
+    const Candidate& c = ctx.candidates()[i];
+    if (!pg.candidate_pairs_[i]->empty()) {
+      pg.candidate_nodes_[i] = pg.Find(c.e1, c.e2);
+    }
+  }
   return pg;
 }
 

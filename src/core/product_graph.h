@@ -52,6 +52,12 @@ class ProductGraph {
     return candidate_nodes_[candidate];
   }
 
+  /// The pairing relation of candidate i, unioned over its keys (see
+  /// PairRelation) — the candidate's contribution to Vp.
+  const PairRelation& CandidateRelation(uint32_t candidate) const {
+    return *candidate_pairs_[candidate];
+  }
+
   /// Prioritized-propagation statistic (§5.2): how many out-(resp. in-)
   /// edges with predicate `pred` leave product node `v`. Collected at
   /// construction time, as the paper prescribes.
@@ -62,29 +68,13 @@ class ProductGraph {
   size_t MemoryBytes() const;
 
  private:
-  friend ProductGraph BuildProductGraph(const EmContext& ctx);
   friend ProductGraph PatchProductGraph(
       const ProductGraph& prev, const EmContext& ctx,
       const std::vector<int64_t>& candidate_reuse,
+      std::vector<std::shared_ptr<const PairRelation>> relations,
       std::span<const NodeId> graph_dirty);
-  // Snapshot (de)serialization: restores nodes_ and the relation pool,
-  // then replays Finish() to rebuild the derived adjacency.
+  // Snapshot (de)serialization persists only candidate_pairs_.
   friend class storage::PlanCodec;
-
-  using Relation = std::vector<uint64_t>;
-
-  /// Interns the product node for a packed pair and bumps its
-  /// supporting-relation count (shared by the full and patched builds).
-  static void AddNodeRef(ProductGraph& pg, uint64_t packed);
-
-  /// Resolves candidate_nodes_ from the per-candidate relations (a
-  /// nonempty relation always contains the candidate pair itself).
-  static void ResolveCandidateNodes(const EmContext& ctx, ProductGraph& pg);
-
-  /// Resolves candidate_nodes_ and runs the full edge pass (tail of the
-  /// from-scratch build; the patched build has its own incremental edge
-  /// pass).
-  static void Finish(const EmContext& ctx, ProductGraph& pg);
 
   std::vector<std::pair<NodeId, NodeId>> nodes_;
   std::unordered_map<uint64_t, uint32_t> index_;
@@ -97,7 +87,7 @@ class ProductGraph {
   // (the node-discovery phase's raw output), shared across plan
   // generations. PatchProductGraph re-shares carried-over candidates'
   // relations instead of re-running their pairing fixpoints.
-  std::vector<std::shared_ptr<const Relation>> candidate_pairs_;
+  std::vector<std::shared_ptr<const PairRelation>> candidate_pairs_;
   // Per product node: how many candidate relations contain it. Lets a
   // patch retire the contributions of dropped/re-paired candidates and
   // keep only supported nodes, without rediscovering Vp from scratch.
@@ -105,23 +95,23 @@ class ProductGraph {
   size_t num_edges_ = 0;
 };
 
-/// Builds Gp from the context's candidates by re-running the pairing
-/// fixpoint per (candidate, key) and collecting every surviving pair.
-ProductGraph BuildProductGraph(const EmContext& ctx);
-
-/// Incremental rebuild for a patched context: candidates carried over
-/// from the source plan (candidate_reuse[i] >= 0) re-share their cached
-/// pairing relations from `prev`; only the dirty candidates re-run the
-/// pairing fixpoint, and retired contributions are reference-counted
-/// away. The edge pass recomputes only product nodes that are new or
-/// touch a graph node in `graph_dirty` (the delta's touched set); every
-/// other node's adjacency is copied from `prev` and extended with edges
-/// into the new nodes. Product-node ids may differ from a from-scratch
-/// build; Gp semantics do not depend on them.
-ProductGraph PatchProductGraph(const ProductGraph& prev,
-                               const EmContext& ctx,
-                               const std::vector<int64_t>& candidate_reuse,
-                               std::span<const NodeId> graph_dirty);
+/// The one Gp builder: Matcher::Compile, MatchPlan::Patch and snapshot
+/// decoding all call it. `relations[i]` is candidate i's pairing relation
+/// (ContextPatchInfo::candidate_relations), or null when the candidate is
+/// carried over from `prev` (candidate_reuse[i] >= 0) and re-shares its
+/// cached relation; retired contributions are reference-counted away.
+/// The edge pass recomputes only product nodes that are new or touch a
+/// graph node in `graph_dirty` (the delta's touched set); every other
+/// node's adjacency is copied from `prev` and extended with edges into
+/// the new nodes. A from-scratch build is the patch of an empty `prev`:
+/// every node is new, interned in candidate-then-relation order, and
+/// gets the full edge pass. Product-node ids of a patched Gp may differ
+/// from a from-scratch build; Gp semantics do not depend on them.
+ProductGraph PatchProductGraph(
+    const ProductGraph& prev, const EmContext& ctx,
+    const std::vector<int64_t>& candidate_reuse,
+    std::vector<std::shared_ptr<const PairRelation>> relations,
+    std::span<const NodeId> graph_dirty);
 
 }  // namespace gkeys
 

@@ -254,6 +254,7 @@ Status DeltaBinder::Append(const TokenizedText& tokens) {
   // one batch costs O(batch). Overlay and base are disjoint (a token
   // found in base never enters the overlay), so lookup order is
   // unobservable.
+  std::vector<std::tuple<NodeId, std::string_view, NodeId>> removed_here;
   for (const TokenizedLine& ln : tokens.lines) {
     if (tokens.error_line != 0 && ln.line_no >= tokens.error_line) break;
     const bool adding = ln.op > 0;
@@ -294,6 +295,12 @@ Status DeltaBinder::Append(const TokenizedText& tokens) {
     if (!s.ok()) return s.status();
     auto o = resolve(ln.obj);
     if (!o.ok()) return o.status();
+    auto triple = std::make_tuple(*s, ln.pred, *o);
+    if (group_removed_.count(triple) != 0) {
+      return err(adding ? "re-adds a triple an earlier batch removed"
+                        : "removes a triple an earlier batch removed");
+    }
+    if (!adding) removed_here.push_back(triple);
     Status st = adding ? delta_.AddTriple(*s, ln.pred, *o)
                        : delta_.RemoveTriple(*s, ln.pred, *o);
     if (!st.ok()) {
@@ -303,6 +310,7 @@ Status DeltaBinder::Append(const TokenizedText& tokens) {
     }
   }
   if (tokens.error_line != 0) return tokens.error;
+  group_removed_.insert(removed_here.begin(), removed_here.end());
   return Status::OK();
 }
 

@@ -1,8 +1,10 @@
 #ifndef GKEYS_IO_FAST_TRIPLES_H_
 #define GKEYS_IO_FAST_TRIPLES_H_
 
+#include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -123,11 +125,17 @@ StatusOr<GraphDelta> BindDeltaText(
 /// Binding batches B1..Bk through one binder is equivalent to binding
 /// their concatenation as a single delta text, except that error messages
 /// keep each batch's own line numbers. That concatenation is NOT always
-/// equivalent to committing the batches one by one: a batch that removes
-/// a triple or value an earlier batch in the same group introduced fails
-/// to bind (GraphDelta removals must reference base-graph nodes). Append
-/// surfaces those cases as errors; the pipeline reacts by re-binding the
-/// group per batch, which restores exact serial semantics.
+/// equivalent to committing the batches one by one:
+///   - a batch that removes a triple or value an earlier batch in the
+///     same group introduced fails to bind (GraphDelta removals must
+///     reference base-graph nodes);
+///   - a batch that re-adds a triple an earlier batch removed would leave
+///     it absent (Graph::Apply applies additions before removals);
+///   - a batch that removes a triple an earlier batch already removed
+///     would fail the group's Apply halfway (NotFound).
+/// Append surfaces all of these as errors; the pipeline reacts by
+/// re-binding the group per batch, which restores exact serial
+/// semantics.
 class DeltaBinder {
  public:
   /// The graph and base table must outlive the binder; so must every
@@ -160,6 +168,9 @@ class DeltaBinder {
   std::unordered_map<std::string_view, NodeId> overlay_;
   std::vector<std::pair<std::string_view, NodeId>> introduced_;
   std::string key_buf_;
+  // Triples the earlier batches of this group remove (views into their
+  // token texts): a later batch may neither re-add nor re-remove them.
+  std::set<std::tuple<NodeId, std::string_view, NodeId>> group_removed_;
 };
 
 /// TokenizeTriples + BindTriples: the fast DeserializeGraphWithNames.

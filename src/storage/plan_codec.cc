@@ -386,8 +386,8 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   }
 
   // Product graph: only the per-candidate pairing relations persist —
-  // Vp, the edge set, and the counts all replay from them (exactly how
-  // BuildProductGraph derives them).
+  // Vp, the edge set, and the counts all replay from them through the
+  // one Gp builder (PatchProductGraph from an empty Gp).
   RelationPool relations;
   if (rep.pg.has_value()) {
     const ProductGraph& pg = *rep.pg;
@@ -426,6 +426,10 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
                                           const KeySet& keys) {
   if (g.NumNodes() != meta.num_nodes)
     return Corrupt("graph/meta node-count mismatch");
+  // A plan has a product graph exactly when it was built with one; Patch
+  // relies on it.
+  if (meta.plan_options.build_product_graph != meta.has_product_graph)
+    return Corrupt("product-graph flag disagrees with the plan options");
   std::shared_ptr<MatchPlan::Rep> rep(
       new MatchPlan::Rep(EmContext::DeserializeShell{}, g, keys,
                          meta.plan_options, meta.em_options));
@@ -612,11 +616,11 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   if (sig_count != meta.num_sig_types)
     return Corrupt("signature index count mismatch");
 
-  // Product graph: restore the relation pool, then replay exactly what
-  // BuildProductGraph derives from it (node interning in relation-scan
+  // Product graph: restore the relation pool, then rebuild Gp from it
+  // with the same builder Compile uses (node interning in relation-scan
   // order, then the edge pass).
   if (meta.has_product_graph) {
-    std::vector<std::shared_ptr<const ProductGraph::Relation>> rels;
+    std::vector<std::shared_ptr<const PairRelation>> rels;
     scan = store.Scan("R", [&](std::string_view key,
                                std::string_view value) -> Status {
       if (key.size() != 9 || GetBe64(key.data() + 1) != rels.size())
@@ -625,7 +629,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       uint64_t count = 0;
       if (!r.ReadVarint(&count) || count > value.size())
         return Corrupt("bad relation count");
-      auto rel = std::make_shared<ProductGraph::Relation>();
+      auto rel = std::make_shared<PairRelation>();
       rel->reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t packed = 0;
@@ -649,22 +653,18 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     uint64_t count = 0;
     if (!gr.ReadVarint(&count) || count != num_candidates)
       return Corrupt("product-graph candidate count mismatch");
-    ProductGraph pg;
-    pg.candidate_pairs_.resize(count);
+    std::vector<std::shared_ptr<const PairRelation>> candidate_rels(count);
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t rel_id = 0;
       if (!gr.ReadVarint(&rel_id) || rel_id >= rels.size() ||
           rels[rel_id] == nullptr) {
         return Corrupt("bad relation reference");
       }
-      pg.candidate_pairs_[i] = rels[rel_id];
-      for (uint64_t packed : *pg.candidate_pairs_[i]) {
-        ProductGraph::AddNodeRef(pg, packed);
-      }
+      candidate_rels[i] = rels[rel_id];
     }
     if (!gr.AtEnd()) return Corrupt("trailing bytes in product-graph record");
-    ProductGraph::Finish(ctx, pg);
-    rep->pg.emplace(std::move(pg));
+    rep->pg.emplace(PatchProductGraph(ProductGraph{}, ctx, {},
+                                      std::move(candidate_rels), {}));
   }
 
   return MatchPlan(std::shared_ptr<const MatchPlan::Rep>(std::move(rep)));

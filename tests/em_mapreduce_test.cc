@@ -1,7 +1,7 @@
 // EMMR-specific behavior beyond the cross-algorithm matrix: round
 // semantics, dependency deferral, incremental re-checking, and stats.
 
-#include "core/em_mapreduce.h"
+#include "core/matcher.h"
 
 #include <gtest/gtest.h>
 
@@ -16,13 +16,19 @@ using testing::MakeG1;
 using testing::MakeSigma1;
 using testing::Pairs;
 
+/// Compiles a plan and runs the MapReduce engine over it, expecting OK.
+MatchResult RunMr(const Graph& g, const KeySet& keys, const EmOptions& opts) {
+  auto r = testing::CompileAndRun(g, keys, Algorithm::kEmMr, opts);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? *std::move(r) : MatchResult{};
+}
+
 TEST(EmMapReduce, RoundsMirrorDerivationDepth) {
   // G1 needs: round 1 (albums by Q2), round 2 (artists by Q3), round 3
   // (fixpoint confirmation).
   auto m = MakeG1();
   KeySet sigma1 = MakeSigma1();
-  MatchResult r = RunEmMapReduce(m.g, sigma1, EmOptions::For(
-                                                  Algorithm::kEmMr, 2));
+  MatchResult r = RunMr(m.g, sigma1, EmOptions::For(Algorithm::kEmMr, 2));
   EXPECT_EQ(r.pairs, Pairs({{m.alb1, m.alb2}, {m.art1, m.art2}}));
   EXPECT_EQ(r.stats.rounds, 3u);
 }
@@ -50,7 +56,7 @@ TEST(EmMapReduce, DependencyDeferralStillComplete) {
   )").ok());
   EmOptions opts = EmOptions::For(Algorithm::kEmMr, 2);
   opts.use_dependency = true;
-  MatchResult r = RunEmMapReduce(g, keys, opts);
+  MatchResult r = RunMr(g, keys, opts);
   EXPECT_EQ(r.pairs, Pairs({{a1, a2}}));
 }
 
@@ -64,8 +70,8 @@ TEST(EmMapReduce, IncrementalSkipsQuietPairsButConverges) {
   EmOptions base = EmOptions::For(Algorithm::kEmMr, 2);
   EmOptions incr = base;
   incr.use_incremental = true;
-  MatchResult rb = RunEmMapReduce(ds.graph, ds.keys, base);
-  MatchResult ri = RunEmMapReduce(ds.graph, ds.keys, incr);
+  MatchResult rb = RunMr(ds.graph, ds.keys, base);
+  MatchResult ri = RunMr(ds.graph, ds.keys, incr);
   EXPECT_EQ(rb.pairs, ri.pairs);
   EXPECT_EQ(ri.pairs, ds.planted);
   EXPECT_LE(ri.stats.iso_checks, rb.stats.iso_checks)
@@ -86,7 +92,7 @@ TEST(EmMapReduce, AllOptimizationTogglesPreserveResult) {
     opts.use_pairing = mask & 2;
     opts.use_dependency = mask & 4;
     opts.use_incremental = mask & 8;
-    MatchResult r = RunEmMapReduce(ds.graph, ds.keys, opts);
+    MatchResult r = RunMr(ds.graph, ds.keys, opts);
     EXPECT_EQ(r.pairs, ds.planted) << "option mask " << mask;
   }
 }
@@ -99,7 +105,7 @@ TEST(EmMapReduce, ResultIndependentOfProcessorCount) {
   SyntheticDataset ds = GenerateSynthetic(cfg);
   for (int p : {1, 2, 5, 9, 16}) {
     MatchResult r =
-        RunEmMapReduce(ds.graph, ds.keys, EmOptions::For(Algorithm::kEmMr, p));
+        RunMr(ds.graph, ds.keys, EmOptions::For(Algorithm::kEmMr, p));
     EXPECT_EQ(r.pairs, ds.planted) << "p=" << p;
   }
 }
@@ -111,7 +117,7 @@ TEST(EmMapReduce, EmptyCandidatesTerminateImmediately) {
   KeySet keys;
   ASSERT_TRUE(keys.AddFromDsl("key K for t { x -[p]-> v* }").ok());
   MatchResult r =
-      RunEmMapReduce(g, keys, EmOptions::For(Algorithm::kEmMr, 2));
+      RunMr(g, keys, EmOptions::For(Algorithm::kEmMr, 2));
   EXPECT_TRUE(r.pairs.empty());
   EXPECT_LE(r.stats.rounds, 1u);
 }
@@ -159,7 +165,7 @@ TEST(EmMapReduce, GhostPairsWakeDependents) {
   EXPECT_EQ(oracle.pairs.size(), 4u);  // 3 album pairs + the artist pair
   for (int p : {1, 4}) {
     MatchResult r =
-        RunEmMapReduce(g, keys, EmOptions::For(Algorithm::kEmOptMr, p));
+        RunMr(g, keys, EmOptions::For(Algorithm::kEmOptMr, p));
     EXPECT_EQ(r.pairs, oracle.pairs) << "EMOptMR p=" << p;
   }
 }
@@ -168,7 +174,7 @@ TEST(EmMapReduce, StatsConsistent) {
   auto m = MakeG1();
   KeySet sigma1 = MakeSigma1();
   MatchResult r =
-      RunEmMapReduce(m.g, sigma1, EmOptions::For(Algorithm::kEmMr, 2));
+      RunMr(m.g, sigma1, EmOptions::For(Algorithm::kEmMr, 2));
   EXPECT_EQ(r.stats.confirmed, r.pairs.size());
   EXPECT_GT(r.stats.iso_checks, 0u);
   EXPECT_GE(r.stats.candidates_initial, r.stats.candidates);

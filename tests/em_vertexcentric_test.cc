@@ -1,7 +1,7 @@
 // EMVC-specific behavior: message accounting, bounded-k sweeps,
 // prioritized propagation, dependency re-seeding, and TC sweeps.
 
-#include "core/em_vertexcentric.h"
+#include "core/matcher.h"
 
 #include <gtest/gtest.h>
 
@@ -17,11 +17,18 @@ using testing::MakeG1;
 using testing::MakeSigma1;
 using testing::Pairs;
 
+/// Compiles a plan with its product graph and runs the vertex-centric
+/// engine over it, expecting OK.
+MatchResult RunVc(const Graph& g, const KeySet& keys, const EmOptions& opts) {
+  auto r = testing::CompileAndRun(g, keys, Algorithm::kEmVc, opts);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? *std::move(r) : MatchResult{};
+}
+
 TEST(EmVertexCentric, MatchesOracleOnG1) {
   auto m = MakeG1();
   KeySet sigma1 = MakeSigma1();
-  MatchResult r = RunEmVertexCentric(m.g, sigma1,
-                                     EmOptions::For(Algorithm::kEmVc, 2));
+  MatchResult r = RunVc(m.g, sigma1, EmOptions::For(Algorithm::kEmVc, 2));
   EXPECT_EQ(r.pairs, Pairs({{m.alb1, m.alb2}, {m.art1, m.art2}}));
   EXPECT_GT(r.stats.messages, 0u);
   EXPECT_GT(r.stats.product_graph_nodes, 0u);
@@ -39,7 +46,7 @@ TEST(EmVertexCentric, EveryBudgetKIsCorrect) {
   for (int k : {1, 2, 4, 16, 0 /* unbounded */}) {
     EmOptions opts = EmOptions::For(Algorithm::kEmVc, 4);
     opts.bounded_messages = k;
-    MatchResult r = RunEmVertexCentric(ds.graph, ds.keys, opts);
+    MatchResult r = RunVc(ds.graph, ds.keys, opts);
     EXPECT_EQ(r.pairs, ds.planted) << "k=" << k;
   }
 }
@@ -55,7 +62,7 @@ TEST(EmVertexCentric, SmallerBudgetFewerMessages) {
   auto messages_for = [&](int k) {
     EmOptions opts = EmOptions::For(Algorithm::kEmVc, 4);
     opts.bounded_messages = k;
-    MatchResult r = RunEmVertexCentric(ds.graph, ds.keys, opts);
+    MatchResult r = RunVc(ds.graph, ds.keys, opts);
     EXPECT_EQ(r.pairs, ds.planted) << "k=" << k;
     return r.stats.messages;
   };
@@ -75,8 +82,8 @@ TEST(EmVertexCentric, PrioritizedPropagationPreservesResult) {
   EmOptions plain = EmOptions::For(Algorithm::kEmVc, 4);
   EmOptions prio = plain;
   prio.prioritized = true;
-  EXPECT_EQ(RunEmVertexCentric(ds.graph, ds.keys, plain).pairs,
-            RunEmVertexCentric(ds.graph, ds.keys, prio).pairs);
+  EXPECT_EQ(RunVc(ds.graph, ds.keys, plain).pairs,
+            RunVc(ds.graph, ds.keys, prio).pairs);
 }
 
 TEST(EmVertexCentric, DependencyReSeedingResolvesChains) {
@@ -90,8 +97,8 @@ TEST(EmVertexCentric, DependencyReSeedingResolvesChains) {
   cfg.chained_fraction = 1.0;
   cfg.seed = 31;
   SyntheticDataset ds = GenerateSynthetic(cfg);
-  MatchResult r = RunEmVertexCentric(ds.graph, ds.keys,
-                                     EmOptions::For(Algorithm::kEmOptVc, 4));
+  MatchResult r = RunVc(ds.graph, ds.keys,
+                        EmOptions::For(Algorithm::kEmOptVc, 4));
   EXPECT_EQ(r.pairs, ds.planted);
 }
 
@@ -136,8 +143,7 @@ TEST(EmVertexCentric, TransitiveClosureViaSweep) {
   )").ok());
   MatchResult oracle = Chase(g, keys);
   for (int p : {1, 4}) {
-    MatchResult r = RunEmVertexCentric(g, keys,
-                                       EmOptions::For(Algorithm::kEmVc, p));
+    MatchResult r = RunVc(g, keys, EmOptions::For(Algorithm::kEmVc, p));
     EXPECT_EQ(r.pairs, oracle.pairs) << "p=" << p;
   }
   // The artist pair is in the result (depends on the TC-derived (a, c)).
@@ -153,8 +159,8 @@ TEST(EmVertexCentric, ResultIndependentOfProcessorCount) {
   cfg.scale = 0.6;
   SyntheticDataset ds = GenerateGoogleSim(cfg);
   for (int p : {1, 3, 8}) {
-    MatchResult r = RunEmVertexCentric(ds.graph, ds.keys,
-                                       EmOptions::For(Algorithm::kEmVc, p));
+    MatchResult r = RunVc(ds.graph, ds.keys,
+                          EmOptions::For(Algorithm::kEmVc, p));
     EXPECT_EQ(r.pairs, ds.planted) << "p=" << p;
   }
 }
@@ -166,10 +172,9 @@ TEST(EmVertexCentric, RepeatedRunsAreDeterministicInResult) {
   cfg.entities_per_type = 16;
   SyntheticDataset ds = GenerateSynthetic(cfg);
   EmOptions opts = EmOptions::For(Algorithm::kEmOptVc, 8);
-  MatchResult first = RunEmVertexCentric(ds.graph, ds.keys, opts);
+  MatchResult first = RunVc(ds.graph, ds.keys, opts);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(RunEmVertexCentric(ds.graph, ds.keys, opts).pairs,
-              first.pairs);
+    EXPECT_EQ(RunVc(ds.graph, ds.keys, opts).pairs, first.pairs);
   }
 }
 

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -767,6 +768,70 @@ TEST(IngestPipeline, GroupCommitFallsBackWhenBatchesInterdepend) {
   EXPECT_EQ(stats.commits, 2u);  // the fallback committed per batch
   EXPECT_TRUE(piped.Outcome() == serial.Outcome());
   EXPECT_EQ(piped.lg.entities, serial.lg.entities);
+}
+
+/// The first triple line of a fixture's base graph text (a triple the
+/// graph is known to hold).
+std::string FirstTripleLine(const PipeFixture& f) {
+  std::istringstream in(SerializeGraph(f.lg.graph));
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("ent:", 0) == 0 &&
+        line.find(" @exists ") == std::string::npos) {
+      return line;
+    }
+  }
+  ADD_FAILURE() << "base graph has no triple";
+  return line;
+}
+
+/// Runs `batches` through the serial chain and through the pipeline with
+/// the whole stream backlogged into one group, and expects the same end
+/// graph, pairs, bindings, committed batch count and error.
+void ExpectGroupCommitEqualsSerial(uint64_t seed,
+                                   const std::vector<std::string>& batches) {
+  PipeFixture serial = PipeFixture::Make(seed);
+  Status serial_status;
+  size_t serial_committed = 0;
+  for (const std::string& text : batches) {
+    serial_status = serial.SerialStep(text);
+    if (!serial_status.ok()) break;
+    ++serial_committed;
+  }
+
+  PipeFixture piped = PipeFixture::Make(seed);
+  BacklogGate gate;
+  IngestOptions opts;
+  opts.queue_depth = batches.size();
+  opts.max_coalesce = batches.size();
+  opts.cancelled = gate.Cancelled();
+  size_t next = 0;
+  IngestStats stats = piped.matcher.IngestStream(
+      piped.Session(), gate.Source(batches, &next), opts);
+  EXPECT_EQ(stats.status.code(), serial_status.code())
+      << stats.status.ToString() << " vs serial "
+      << serial_status.ToString();
+  EXPECT_EQ(stats.status.message(), serial_status.message());
+  EXPECT_EQ(stats.batches, serial_committed);
+  EXPECT_TRUE(piped.Outcome() == serial.Outcome());
+  EXPECT_EQ(piped.lg.entities, serial.lg.entities);
+}
+
+TEST(IngestPipeline, GroupCommitKeepsTripleRemovedThenReAdded) {
+  // Graph::Apply adds before it removes, so one group delta of "- t" and
+  // "+ t" would drop t; serially, t is removed and then restored.
+  PipeFixture base = PipeFixture::Make(38);
+  const std::string triple = FirstTripleLine(base);
+  ExpectGroupCommitEqualsSerial(38, {"- " + triple + "\n",
+                                     "+ " + triple + "\n"});
+}
+
+TEST(IngestPipeline, GroupCommitRejectsDoubleRemovalWhereSerialDoes) {
+  // Serially the first removal commits and the second fails cleanly
+  // (NotFound); one group delta would fail its Apply halfway instead.
+  PipeFixture base = PipeFixture::Make(39);
+  const std::string removal = "- " + FirstTripleLine(base) + "\n";
+  ExpectGroupCommitEqualsSerial(39, {removal, removal});
 }
 
 TEST(FastDelta, DeltaBinderGroupEqualsConcatenatedText) {

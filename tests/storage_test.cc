@@ -24,6 +24,7 @@
 #include "graph/delta.h"
 #include "io/triples.h"
 #include "storage/mmap_store.h"
+#include "storage/plan_codec.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
 
@@ -687,6 +688,48 @@ TEST_F(SnapshotCorruption, MissingRecordsAreParseErrors) {
     EXPECT_FALSE(snap.ok());
     EXPECT_EQ(snap.status().code(), StatusCode::kParseError)
         << snap.status().ToString();
+  }
+}
+
+TEST_F(SnapshotCorruption, ProductGraphFlagMismatchIsParseError) {
+  // A meta record whose product-graph flag disagrees with the plan
+  // options is outside input: rejected, never half-loaded (MatchPlan::
+  // Patch relies on every plan built with the option having a Gp).
+  for (bool drop_graph : {true, false}) {
+    SCOPED_TRACE(drop_graph ? "has_product_graph cleared"
+                            : "build_product_graph cleared");
+    auto src = MmapStore::Open(path_);
+    ASSERT_TRUE(src.ok());
+    auto meta = storage::PlanCodec::DecodeMeta(**src);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    ASSERT_TRUE(meta->has_product_graph);
+    if (drop_graph) {
+      meta->has_product_graph = false;
+    } else {
+      meta->plan_options.build_product_graph = false;
+    }
+    std::string path = TempPath("pgflag");
+    auto dst = MmapStore::Create(path);
+    ASSERT_TRUE(dst.ok());
+    ASSERT_TRUE((*src)
+                    ->Scan("",
+                           [&](std::string_view k, std::string_view v) {
+                             if (k == "M") return Status::OK();
+                             return (*dst)->Put(std::string(k),
+                                                std::string(v));
+                           })
+                    .ok());
+    ASSERT_TRUE(storage::PlanCodec::EncodeMeta(*meta, **dst).ok());
+    ASSERT_TRUE((*dst)->Flush().ok());
+    auto reopened = MmapStore::Open(path);
+    ASSERT_TRUE(reopened.ok());
+    auto snap = Snapshot::Load(**reopened);
+    ASSERT_FALSE(snap.ok());
+    EXPECT_EQ(snap.status().code(), StatusCode::kParseError)
+        << snap.status().ToString();
+    EXPECT_NE(snap.status().message().find("product-graph"),
+              std::string::npos)
+        << snap.status().message();
   }
 }
 

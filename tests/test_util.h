@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/matcher.h"
 #include "graph/graph.h"
 #include "keys/key.h"
 #include "pattern/parser.h"
@@ -137,6 +138,24 @@ inline std::vector<std::pair<NodeId, NodeId>> Pairs(
   }
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// Compiles `keys` against `g` with the plan-shaping part of `opts`
+/// (processors, pairing, blocking; the product graph for the EMVC
+/// family), then runs algorithm `a` over the plan with `opts` as its
+/// run options.
+inline StatusOr<MatchResult> CompileAndRun(const Graph& g, const KeySet& keys,
+                                           Algorithm a,
+                                           const EmOptions& opts) {
+  PlanOptions popts;
+  popts.processors = opts.processors;
+  popts.use_pairing = opts.use_pairing;
+  popts.use_blocking = opts.use_blocking;
+  popts.build_product_graph =
+      a == Algorithm::kEmVc || a == Algorithm::kEmOptVc;
+  auto plan = Matcher::Compile(g, keys, popts);
+  if (!plan.ok()) return plan.status();
+  return Matcher(a).options(opts).Run(*plan);
 }
 
 }  // namespace testing
